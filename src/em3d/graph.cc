@@ -35,63 +35,133 @@ namespace
 {
 
 /**
+ * Reusable working storage for one Graph::build. Every stage below is
+ * a counting pass over a small dense table instead of a sort or a
+ * binary search: producers of remote edges lie in a +/-2-PE
+ * neighbourhood and every srcIdx is < nodesPerPe, so (producer,
+ * srcIdx) keys index a table directly. The tables grow to their
+ * largest use once and are reset after each side, so no stage
+ * allocates per side.
+ */
+struct Scratch
+{
+    static constexpr std::uint32_t noProducer = ~std::uint32_t{0};
+
+    /** Slot-table entry flag: slot assigned, no fetch listed yet.
+     *  Slots never reach it: the ghost array (8 B per slot) must fit
+     *  a node's local segment. */
+    static constexpr std::uint32_t unlisted = std::uint32_t{1} << 31;
+
+    explicit Scratch(std::uint32_t pes) : producerOf(pes, noProducer) {}
+
+    /** Counting-sort offsets (transpose: pes x (n + 1); pushes:
+     *  n + 1). */
+    std::vector<std::uint32_t> offsets;
+
+    /** PE -> row of slotTable for the side being resolved. */
+    std::vector<std::uint32_t> producerOf;
+
+    /** Producers of the side, in first-reference order (row order). */
+    std::vector<PeId> producers;
+
+    /** Distinct values referenced per producer row. */
+    std::vector<std::uint32_t> distinct;
+
+    /** Rows in ascending producer PE order. */
+    std::vector<std::uint32_t> rowOrder;
+
+    /** producers x n: 0 = unreferenced, else the slot (see unlisted). */
+    std::vector<std::uint32_t> slotTable;
+};
+
+/**
  * Assign ghost slots (grouped by producer, producer-local indices
  * ascending within a group), build the fetch list and consumer
  * groups, and resolve every edge's compute-phase local address.
+ *
+ * Slots are numbered in (srcPe, srcIdx) order, so each producer's
+ * values form one contiguous block the Bulk version moves at once.
+ * A first pass over the edges finds the producers and marks each
+ * distinct (producer, srcIdx) in a producers x n table; a walk of
+ * that table in ascending producer order hands out the slots and
+ * fills the groups; a second pass over the edges reads each edge's
+ * slot back from the table for its address and lists each slot's
+ * first reference in the fetch list.
  */
 void
-resolveSide(Graph::Side &side, PeId pe, Addr vals_base, Addr ghost_base)
+resolveSide(Graph::Side &side, PeId pe, std::uint32_t n, Addr vals_base,
+            Addr ghost_base, Scratch &s)
 {
-    // Distinct remote references, sorted by (srcPe, srcIdx): the
-    // index into this vector IS the ghost slot, so slots come out
-    // grouped by producer and the Bulk version can move each
-    // producer's values as one contiguous block. Sort + unique +
-    // binary search replaces a per-side red-black tree — graph
-    // construction is part of every benchmark's host time.
-    std::vector<std::pair<PeId, std::uint32_t>> keys;
+    s.producers.clear();
+    s.distinct.clear();
     for (const auto &edge : side.edges) {
-        if (edge.srcPe != pe)
-            keys.emplace_back(edge.srcPe, edge.srcIdx);
+        if (edge.srcPe == pe)
+            continue;
+        std::uint32_t row = s.producerOf[edge.srcPe];
+        if (row == Scratch::noProducer) {
+            row = static_cast<std::uint32_t>(s.producers.size());
+            s.producerOf[edge.srcPe] = row;
+            s.producers.push_back(edge.srcPe);
+            s.distinct.push_back(0);
+            if (s.slotTable.size() < s.producers.size() * std::size_t{n})
+                s.slotTable.resize(s.producers.size() * std::size_t{n}, 0);
+        }
+        std::uint32_t &entry = s.slotTable[std::size_t{row} * n + edge.srcIdx];
+        if (entry == 0) {
+            entry = 1;
+            ++s.distinct[row];
+        }
     }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
 
-    const auto slot_of = [&](PeId src_pe, std::uint32_t src_idx) {
-        const auto it = std::lower_bound(
-            keys.begin(), keys.end(), std::make_pair(src_pe, src_idx));
-        return static_cast<std::uint32_t>(it - keys.begin());
-    };
+    // At most the four neighbours of pe: ordering the rows is per
+    // side, not per edge.
+    s.rowOrder.resize(s.producers.size());
+    for (std::uint32_t r = 0; r < s.rowOrder.size(); ++r)
+        s.rowOrder[r] = r;
+    std::sort(s.rowOrder.begin(), s.rowOrder.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return s.producers[a] < s.producers[b];
+              });
 
-    for (std::uint32_t slot = 0; slot < keys.size(); ++slot) {
-        const auto &[src_pe, src_idx] = keys[slot];
-        if (side.groups.empty() || side.groups.back().srcPe != src_pe)
-            side.groups.push_back({src_pe, slot, {}, 0});
-        side.groups.back().srcIdxs.push_back(src_idx);
+    std::uint32_t slot = 0;
+    side.groups.reserve(s.producers.size());
+    for (std::uint32_t row : s.rowOrder) {
+        Graph::ProducerGroup group{s.producers[row], slot, {}, 0};
+        group.srcIdxs.reserve(s.distinct[row]);
+        std::uint32_t *entries = s.slotTable.data() + std::size_t{row} * n;
+        for (std::uint32_t idx = 0; idx < n; ++idx) {
+            if (entries[idx] != 0) {
+                entries[idx] = Scratch::unlisted | slot++;
+                group.srcIdxs.push_back(idx);
+            }
+        }
+        side.groups.push_back(std::move(group));
     }
-    side.ghostCount = static_cast<std::uint32_t>(keys.size());
+    side.ghostCount = slot;
 
     // The fetch list (Bundle/Get) is in edge-discovery order (the
     // order a compiler-built ghost list would fetch in — producers
     // interleave, so Bundle/Get pay the annex set-up churn of §8).
-    std::vector<bool> listed(keys.size(), false);
-    for (const auto &edge : side.edges) {
-        if (edge.srcPe == pe)
-            continue;
-        const std::uint32_t slot = slot_of(edge.srcPe, edge.srcIdx);
-        if (!listed[slot]) {
-            listed[slot] = true;
-            side.fetches.push_back({edge.srcPe, edge.srcIdx, slot});
-        }
-    }
-
+    side.fetches.reserve(slot);
     for (auto &edge : side.edges) {
         if (edge.srcPe == pe) {
             edge.localValueAddr = vals_base + Addr{edge.srcIdx} * 8;
-        } else {
-            const std::uint32_t slot = slot_of(edge.srcPe, edge.srcIdx);
-            edge.localValueAddr = ghost_base + Addr{slot} * 8;
+            continue;
         }
+        std::uint32_t &entry = s.slotTable[
+            std::size_t{s.producerOf[edge.srcPe]} * n + edge.srcIdx];
+        const std::uint32_t ghost_slot = entry & ~Scratch::unlisted;
+        if (entry & Scratch::unlisted) {
+            entry = ghost_slot;
+            side.fetches.push_back({edge.srcPe, edge.srcIdx, ghost_slot});
+        }
+        edge.localValueAddr = ghost_base + Addr{ghost_slot} * 8;
     }
+
+    for (PeId q : s.producers)
+        s.producerOf[q] = Scratch::noProducer;
+    std::fill_n(s.slotTable.begin(), s.producers.size() * std::size_t{n},
+                0);
 }
 
 /** Accessor for the side (E or H) of a PerPe record. */
@@ -107,7 +177,7 @@ sideOf(Graph::PerPe &pp, bool e_side)
  * stages its values.
  */
 void
-buildProducerViews(Graph &g, bool e_side)
+buildProducerViews(Graph &g, bool e_side, Scratch &s)
 {
     // Staging regions: on each producer, consumers in ascending
     // dstPe order. One pass over the consumers (visited in ascending
@@ -128,23 +198,34 @@ buildProducerViews(Graph &g, bool e_side)
             group.producerStageOffset = offset;
             offset += Addr{8} * sg.srcIdxs.size();
             prod.stageGroups.push_back(std::move(sg));
-
-            // Push list entries (slot order within the group).
-            for (std::uint32_t k = 0; k < group.srcIdxs.size(); ++k) {
-                prod.pushes.push_back(
-                    {group.srcIdxs[k], pe, group.firstSlot + k});
-            }
         }
     }
+
+    // Push lists in node order on the producer, so consecutive
+    // pushes interleave destination PEs — the annex-churn pattern of
+    // the Put version (§8). A counting sort by source index over the
+    // staging groups (consumers ascending, slot order within each)
+    // keeps equal indices in consumer order.
+    const std::uint32_t n = g.config.nodesPerPe;
     for (PeId q = 0; q < g.pes; ++q) {
         Graph::Side &prod = sideOf(g.perPe[q], e_side);
-        // Node-order iteration on the producer: sort by source index
-        // so consecutive pushes interleave destination PEs — the
-        // annex-churn pattern of the Put version (§8).
-        std::stable_sort(prod.pushes.begin(), prod.pushes.end(),
-                         [](const Push &a, const Push &b) {
-                             return a.srcIdx < b.srcIdx;
-                         });
+        if (prod.stageGroups.empty())
+            continue;
+        std::fill_n(s.offsets.begin(), n + 1, 0);
+        for (const auto &sg : prod.stageGroups) {
+            for (std::uint32_t idx : sg.srcIdxs)
+                ++s.offsets[idx + 1];
+        }
+        for (std::uint32_t idx = 0; idx < n; ++idx)
+            s.offsets[idx + 1] += s.offsets[idx];
+        prod.pushes.resize(s.offsets[n]);
+        for (const auto &sg : prod.stageGroups) {
+            for (std::uint32_t k = 0; k < sg.srcIdxs.size(); ++k) {
+                const std::uint32_t idx = sg.srcIdxs[k];
+                prod.pushes[s.offsets[idx]++] = {idx, sg.dstPe,
+                                                 sg.dstFirstSlot + k};
+            }
+        }
     }
 }
 
@@ -184,6 +265,13 @@ Graph::build(machine::Machine &machine, const Config &config)
         }
     }
 
+    // Row q of the pes x (n + 1) offset table counts, then
+    // prefix-sums, the E edges whose producer is (q, j): the H-side
+    // transpose below is one stable counting sort over it.
+    Scratch s(g.pes);
+    const std::size_t stride = std::size_t{n} + 1;
+    s.offsets.assign(g.pes * stride, 0);
+
     // Generate the E-update edges. Remote producers live in a small
     // neighborhood of processors (pe +/- 1, pe +/- 2), as in the
     // original EM3D distribution: the bounded candidate set makes
@@ -206,6 +294,7 @@ Graph::build(machine::Machine &machine, const Config &config)
             }
         }
         auto &side = g.perPe[pe].e;
+        side.edges.reserve(std::size_t{n} * config.degree);
         for (std::uint32_t i = 0; i < n; ++i) {
             for (std::uint32_t d = 0; d < config.degree; ++d) {
                 Edge edge;
@@ -219,39 +308,41 @@ Graph::build(machine::Machine &machine, const Config &config)
                     static_cast<std::uint32_t>(rng.nextBounded(n));
                 edge.weight = 0.01 + 0.98 * rng.nextDouble();
                 side.edges.push_back(edge);
+                ++s.offsets[edge.srcPe * stride + edge.srcIdx + 1];
             }
         }
     }
 
     // The H-update edge set is the transpose: if E(pe, i) depends on
-    // H(q, j) with weight w, then H(q, j) depends on E(pe, i).
+    // H(q, j) with weight w, then H(q, j) depends on E(pe, i). The
+    // compute loop accumulates then writes back per destination
+    // node, so each PE's H edges are grouped by dstIdx, ties in
+    // (source pe, E-edge) order: the counting sort keyed by (q, j)
+    // places every edge straight into its exactly-sized vector.
+    for (PeId q = 0; q < g.pes; ++q) {
+        std::uint32_t *row = s.offsets.data() + q * stride;
+        for (std::uint32_t j = 0; j < n; ++j)
+            row[j + 1] += row[j];
+        g.perPe[q].h.edges.resize(row[n]);
+    }
     for (PeId pe = 0; pe < g.pes; ++pe) {
         for (const auto &edge : g.perPe[pe].e.edges) {
-            Edge back;
+            Edge &back = g.perPe[edge.srcPe].h.edges[
+                s.offsets[edge.srcPe * stride + edge.srcIdx]++];
             back.dstIdx = edge.srcIdx;
             back.srcPe = pe;
             back.srcIdx = edge.dstIdx;
             back.weight = edge.weight * 0.5;
-            g.perPe[edge.srcPe].h.edges.push_back(back);
         }
     }
-    // Group the transposed edges by destination node for the
-    // accumulate-then-writeback compute loop.
-    for (PeId pe = 0; pe < g.pes; ++pe) {
-        auto &edges = g.perPe[pe].h.edges;
-        std::stable_sort(edges.begin(), edges.end(),
-                         [](const Edge &a, const Edge &b) {
-                             return a.dstIdx < b.dstIdx;
-                         });
-    }
 
     for (PeId pe = 0; pe < g.pes; ++pe) {
-        resolveSide(g.perPe[pe].e, pe, g.hValsBase, g.eGhostBase);
-        resolveSide(g.perPe[pe].h, pe, g.eValsBase, g.hGhostBase);
+        resolveSide(g.perPe[pe].e, pe, n, g.hValsBase, g.eGhostBase, s);
+        resolveSide(g.perPe[pe].h, pe, n, g.eValsBase, g.hGhostBase, s);
     }
 
-    buildProducerViews(g, /*e_side=*/true);
-    buildProducerViews(g, /*e_side=*/false);
+    buildProducerViews(g, /*e_side=*/true, s);
+    buildProducerViews(g, /*e_side=*/false, s);
 
     return g;
 }

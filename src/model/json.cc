@@ -22,6 +22,7 @@ struct Parser
 {
     const std::string &text;
     std::size_t pos = 0;
+    int depth = 0;
     std::string error;
 
     bool
@@ -107,56 +108,72 @@ struct Parser
     }
 
     bool
+    parseObject(Json &out)
+    {
+        ++pos;
+        out = Json::makeObject();
+        skipWs();
+        if (consume('}'))
+            return true;
+        while (true) {
+            std::string key;
+            if (!parseString(key))
+                return false;
+            if (!consume(':'))
+                return fail("expected ':'");
+            Json v;
+            if (!parseValue(v))
+                return false;
+            out.set(key, std::move(v));
+            if (consume(','))
+                continue;
+            if (consume('}'))
+                return true;
+            return fail("expected ',' or '}'");
+        }
+    }
+
+    bool
+    parseArray(Json &out)
+    {
+        ++pos;
+        std::vector<Json> items;
+        skipWs();
+        if (consume(']')) {
+            out = Json::makeArray({});
+            return true;
+        }
+        while (true) {
+            Json v;
+            if (!parseValue(v))
+                return false;
+            items.push_back(std::move(v));
+            if (consume(','))
+                continue;
+            if (consume(']')) {
+                out = Json::makeArray(std::move(items));
+                return true;
+            }
+            return fail("expected ',' or ']'");
+        }
+    }
+
+    bool
     parseValue(Json &out)
     {
         skipWs();
         if (pos >= text.size())
             return fail("unexpected end of input");
         const char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            out = Json::makeObject();
-            skipWs();
-            if (consume('}'))
-                return true;
-            while (true) {
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                if (!consume(':'))
-                    return fail("expected ':'");
-                Json v;
-                if (!parseValue(v))
-                    return false;
-                out.set(key, std::move(v));
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return true;
-                return fail("expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            std::vector<Json> items;
-            skipWs();
-            if (consume(']')) {
-                out = Json::makeArray({});
-                return true;
-            }
-            while (true) {
-                Json v;
-                if (!parseValue(v))
-                    return false;
-                items.push_back(std::move(v));
-                if (consume(','))
-                    continue;
-                if (consume(']')) {
-                    out = Json::makeArray(std::move(items));
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
+        if (c == '{' || c == '[') {
+            // One native stack frame per level: cap the depth so a
+            // hostile request fails instead of overflowing the stack.
+            if (depth == Json::maxNesting)
+                return fail("nesting too deep");
+            ++depth;
+            const bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth;
+            return ok;
         }
         if (c == '"') {
             std::string s;

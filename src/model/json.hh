@@ -68,6 +68,13 @@ class Json
     double numberOr(const std::string &key, double fallback) const;
 
     /**
+     * Deepest array/object nesting parse() accepts. Every DAG, sweep
+     * file and benchmark report nests a handful of levels; deeper
+     * input fails with "nesting too deep" at the offending bracket.
+     */
+    static constexpr int maxNesting = 256;
+
+    /**
      * Parse @p text.
      * @param error When non-null, receives a one-line diagnostic
      *              ("offset N: …") on failure.

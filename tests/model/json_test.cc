@@ -52,6 +52,38 @@ TEST(Json, RejectsMalformedInput)
     }
 }
 
+TEST(Json, RejectsNestingPastTheCap)
+{
+    // Without the cap this recursed once per '[' and overflowed the
+    // stack; it must now fail at the first bracket past the cap.
+    std::string error;
+    const Json doc = Json::parse(std::string(50000, '['), &error);
+    EXPECT_TRUE(doc.isNull());
+    EXPECT_EQ(error, "offset " + std::to_string(Json::maxNesting) +
+                         ": nesting too deep");
+}
+
+TEST(Json, AcceptsNestingUpToTheCap)
+{
+    const int depth = Json::maxNesting;
+    const std::string text =
+        std::string(depth - 1, '[') + "{\"a\": 1}" +
+        std::string(depth - 1, ']');
+    std::string error;
+    const Json doc = Json::parse(text, &error);
+    EXPECT_TRUE(error.empty()) << error;
+    const Json *v = &doc;
+    for (int i = 1; i < depth; ++i) {
+        ASSERT_TRUE(v->isArray());
+        ASSERT_EQ(v->array().size(), 1u);
+        v = &v->array()[0];
+    }
+    EXPECT_DOUBLE_EQ(v->numberOr("a", 0), 1);
+
+    EXPECT_FALSE(Json::parse("[" + text + "]", &error).isArray());
+    EXPECT_NE(error.find("nesting too deep"), std::string::npos);
+}
+
 TEST(Json, RejectsTrailingGarbage)
 {
     std::string error;

@@ -221,3 +221,23 @@ TEST(JobService, RejectsMalformedRequests)
     EXPECT_EQ(service.stats().errors, 4u);
     EXPECT_EQ(service.stats().simulations, 0u);
 }
+
+TEST(JobService, RejectsDeeplyNestedRequestWithoutCrashing)
+{
+    ServiceOptions opt;
+    opt.workers = 2;
+    opt.model = model::defaultCostModel();
+    Collector out;
+    JobService service(opt, out.fn());
+
+    // 50,000 nested arrays used to overflow the parser's stack and
+    // take the whole service down; now it is one error response.
+    service.submit(std::string(50000, '['), 1);
+    service.submit(jobLine("after", "predict", 100), 2);
+    service.drain();
+
+    EXPECT_TRUE(contains(out.responses[1], "\"ok\":false"));
+    EXPECT_TRUE(contains(out.responses[1], "nesting too deep"));
+    EXPECT_TRUE(contains(out.responses[2], "\"ok\":true"));
+    EXPECT_EQ(service.stats().errors, 1u);
+}
